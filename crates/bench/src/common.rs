@@ -6,13 +6,12 @@
 //! provides [`grouped_synthetic`], the many-property synthetic design the
 //! multi-property grouping sections benchmark against.
 
-use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
 use rfn_bdd::{Bdd, BddManager};
-use rfn_core::{DesignSource, LoadedDesign};
+use rfn_core::{closest_registers, DesignSource, LoadedDesign};
 use rfn_mc::{ModelOptions, ModelSpec, SymbolicModel};
-use rfn_netlist::{transitive_fanin, Abstraction, GateOp, Netlist, Property, SignalId};
+use rfn_netlist::{Abstraction, GateOp, Netlist, Property, SignalId};
 
 /// One benchmark workload: a design, a target signal, and the bounded
 /// abstraction the models are built from.
@@ -46,7 +45,7 @@ pub fn make_case(
 ) -> Case {
     let name = name.into();
     eprintln!("bench: building {name}/{target_name} (cap {cap})");
-    let regs = closest_registers(&netlist, target, cap);
+    let regs = closest_registers(&netlist, &[target], cap);
     let view = Abstraction::from_registers(regs)
         .view(&netlist, [target])
         .expect("bundled designs validate");
@@ -101,32 +100,6 @@ pub fn design_case(spec: &str, cap: usize, steps: usize) -> Result<Case, String>
         cap,
         steps,
     ))
-}
-
-/// The `k` registers closest to `target` by register-to-register BFS
-/// distance through next-state cones — the same shape of bounded
-/// abstraction the coverage engine seeds its refinement loop with.
-pub fn closest_registers(netlist: &Netlist, target: SignalId, k: usize) -> Vec<SignalId> {
-    let mut seen: HashSet<SignalId> = HashSet::new();
-    let mut queue: VecDeque<SignalId> = VecDeque::new();
-    for leaf in transitive_fanin(netlist, [target]).register_leaves {
-        if seen.insert(leaf) {
-            queue.push_back(leaf);
-        }
-    }
-    let mut picked = Vec::new();
-    while let Some(r) = queue.pop_front() {
-        if picked.len() >= k {
-            break;
-        }
-        picked.push(r);
-        for leaf in transitive_fanin(netlist, [netlist.register_next(r)]).register_leaves {
-            if seen.insert(leaf) {
-                queue.push_back(leaf);
-            }
-        }
-    }
-    picked
 }
 
 /// Builds the model for one configuration and the target BDD, timing the

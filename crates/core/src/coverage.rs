@@ -129,15 +129,6 @@ impl CoverageOptions {
         self
     }
 
-    /// Sets the number of image-computation worker threads in every forward
-    /// fixpoint (`1` = the serial engine; results are identical for any
-    /// thread count).
-    #[must_use]
-    pub fn with_bdd_threads(mut self, threads: usize) -> Self {
-        self.reach.bdd_threads = threads.max(1);
-        self
-    }
-
     /// Attaches a structured-event context.
     #[must_use]
     pub fn with_trace(mut self, trace: TraceCtx) -> Self {
@@ -561,15 +552,24 @@ fn reset_coverage_state(netlist: &Netlist, set: &CoverageSet) -> Option<u64> {
     Some(bits)
 }
 
-/// BFS over the register dependency graph: distance 0 = the coverage
-/// signals; a register's next-state cone's register leaves are one hop away.
-/// Returns the closest `k` registers (including the coverage signals).
-fn closest_registers(netlist: &Netlist, seeds: &[SignalId], k: usize) -> Vec<SignalId> {
-    let mut dist = vec![usize::MAX; netlist.num_signals()];
+/// The `k` registers closest to `seeds` by breadth-first search over the
+/// register dependency graph: distance 0 holds the registers in the seeds'
+/// combinational fanin (a register seed is its own), and a register's
+/// next-state cone's register leaves are one hop further. This is the
+/// bounded abstraction the coverage engine seeds its refinement loop with;
+/// the benchmark harnesses build their cases the same way.
+pub fn closest_registers(netlist: &Netlist, seeds: &[SignalId], k: usize) -> Vec<SignalId> {
+    let mut seen = vec![false; netlist.num_signals()];
     let mut queue = VecDeque::new();
+    let mut visit = |queue: &mut VecDeque<SignalId>, root: SignalId| {
+        for leaf in transitive_fanin(netlist, [root]).register_leaves {
+            if !std::mem::replace(&mut seen[leaf.index()], true) {
+                queue.push_back(leaf);
+            }
+        }
+    };
     for &s in seeds {
-        dist[s.index()] = 0;
-        queue.push_back(s);
+        visit(&mut queue, s);
     }
     let mut picked: Vec<SignalId> = Vec::new();
     while let Some(r) = queue.pop_front() {
@@ -577,13 +577,7 @@ fn closest_registers(netlist: &Netlist, seeds: &[SignalId], k: usize) -> Vec<Sig
             break;
         }
         picked.push(r);
-        let cone = transitive_fanin(netlist, [netlist.register_next(r)]);
-        for leaf in cone.register_leaves {
-            if dist[leaf.index()] == usize::MAX {
-                dist[leaf.index()] = dist[r.index()] + 1;
-                queue.push_back(leaf);
-            }
-        }
+        visit(&mut queue, netlist.register_next(r));
     }
     picked
 }

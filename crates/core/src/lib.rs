@@ -79,7 +79,9 @@ pub use concretize::{
     concretize, concretize_cube, concretize_cube_with_stats, concretize_with_stats, validate_trace,
     validate_trace_cube, ConcretizeOptions, ConcretizeOutcome, ConcretizeStats,
 };
-pub use coverage::{analyze_coverage, bfs_coverage, CoverageOptions, CoverageReport};
+pub use coverage::{
+    analyze_coverage, bfs_coverage, closest_registers, CoverageOptions, CoverageReport,
+};
 pub use engine::{
     build_engines, run_engines, BmcEngine, Engine, EngineKind, EngineOutcome, PlainMcEngine,
     RfnEngine, Verdict,

@@ -208,15 +208,6 @@ impl RfnOptions {
         self
     }
 
-    /// Sets the number of image-computation worker threads in every forward
-    /// fixpoint (`1` = the serial engine; results are identical for any
-    /// thread count).
-    #[must_use]
-    pub fn with_bdd_threads(mut self, threads: usize) -> Self {
-        self.reach.bdd_threads = threads.max(1);
-        self
-    }
-
     /// Sets how many abstract error traces the hybrid engine produces per
     /// iteration (1 = the paper's algorithm).
     #[must_use]

@@ -120,25 +120,13 @@ pub fn forward_reach_multi_warm(
     if options.auto_gc {
         model.manager().set_auto_gc(true);
     }
-    let mut par = (options.bdd_threads > 1)
-        .then(|| crate::ParImage::new(options.bdd_threads, options.common.budget.clone()));
-    let result = multi_loop(
-        model,
-        targets,
-        options,
-        &mut protect_log,
-        &mut par,
-        saved_rings,
-    );
+    let result = multi_loop(model, targets, options, &mut protect_log, saved_rings);
     model.manager().set_auto_gc(false);
     for &b in &protect_log {
         model.manager().unprotect(b);
     }
     let result = result.map(|mut r| {
         r.stats = model.manager_ref().stats();
-        if let Some(p) = &par {
-            r.stats.merge(&p.stats());
-        }
         r
     });
     if let Ok(r) = &result {
@@ -235,7 +223,6 @@ fn multi_loop(
     targets: &[Bdd],
     options: &ReachOptions,
     protect_log: &mut Vec<Bdd>,
-    par: &mut Option<crate::ParImage>,
     saved_rings: &[Bdd],
 ) -> Result<MultiReachResult, McError> {
     let deadline = options.common.budget.deadline_for(GovPhase::Reach);
@@ -374,23 +361,17 @@ fn multi_loop(
         } else {
             frontier
         };
-        let step_result = {
-            let img = match par.as_mut() {
-                Some(p) => p.post_image(model, src),
-                None => model.post_image(src),
-            };
-            match img {
-                Ok(img) => {
-                    model.manager().protect(img);
-                    let new = model
-                        .manager()
-                        .not(reached)
-                        .and_then(|nr| model.manager().and(img, nr));
-                    model.manager().unprotect(img);
-                    new
-                }
-                Err(e) => Err(e),
+        let step_result = match model.post_image(src) {
+            Ok(img) => {
+                model.manager().protect(img);
+                let new = model
+                    .manager()
+                    .not(reached)
+                    .and_then(|nr| model.manager().and(img, nr));
+                model.manager().unprotect(img);
+                new
             }
+            Err(e) => Err(e),
         };
         let new = match step_result {
             Ok(new) => new,
@@ -474,9 +455,6 @@ fn multi_loop(
             roots.extend(targets.iter().copied());
             roots.push(frontier);
             model.manager().sift_with_roots(&roots, options.max_growth);
-            if let Some(p) = par.as_mut() {
-                p.invalidate();
-            }
             dvo.record_sift(before, model.manager_ref().num_nodes());
         }
     }

@@ -58,13 +58,6 @@ pub struct ReachOptions {
     /// which leaves every ring and the verdict unchanged while shrinking the
     /// BDD fed to the image.
     pub frontier_simplify: bool,
-    /// Worker threads for image computation. `1` (the default) keeps the
-    /// serial engine untouched; above one, every post/pre-image is fanned
-    /// across this many scoped worker threads on a sidecar
-    /// [`SharedBddManager`](rfn_bdd::SharedBddManager) via [`ParImage`](crate::ParImage).
-    /// Verdicts, rings, step counts and the reached set are bit-identical
-    /// for every thread count (see the [`par`](crate::ParImage) docs).
-    pub bdd_threads: usize,
 }
 
 impl Default for ReachOptions {
@@ -80,7 +73,6 @@ impl Default for ReachOptions {
             cluster_limit: crate::DEFAULT_CLUSTER_LIMIT,
             static_order: crate::StaticOrder::Seed,
             frontier_simplify: true,
-            bdd_threads: 1,
         }
     }
 }
@@ -154,14 +146,6 @@ impl ReachOptions {
     #[must_use]
     pub fn with_frontier_simplify(mut self, simplify: bool) -> Self {
         self.frontier_simplify = simplify;
-        self
-    }
-
-    /// Sets the number of image-computation worker threads (`1` = serial;
-    /// values below one are treated as `1`).
-    #[must_use]
-    pub fn with_bdd_threads(mut self, threads: usize) -> Self {
-        self.bdd_threads = threads.max(1);
         self
     }
 
@@ -342,30 +326,13 @@ pub fn forward_reach_warm(
     if options.auto_gc {
         model.manager().set_auto_gc(true);
     }
-    // Above one thread, images run on a sidecar shared manager; results are
-    // imported back, so everything downstream of this dispatch is identical.
-    let mut par = (options.bdd_threads > 1)
-        .then(|| crate::ParImage::new(options.bdd_threads, options.common.budget.clone()));
-    let result = reach_loop(
-        model,
-        targets,
-        options,
-        &mut protect_log,
-        &mut par,
-        saved_rings,
-    );
+    let result = reach_loop(model, targets, options, &mut protect_log, saved_rings);
     model.manager().set_auto_gc(false);
     for &b in &protect_log {
         model.manager().unprotect(b);
     }
     let result = result.map(|mut r| {
         r.stats = model.manager_ref().stats();
-        if let Some(p) = &par {
-            // Fold the shared kernel's counters (including the shard/lock
-            // contention counters the serial kernel leaves at zero) into the
-            // reported stats.
-            r.stats.merge(&p.stats());
-        }
         r
     });
     if let Ok(r) = &result {
@@ -385,20 +352,6 @@ pub fn forward_reach_warm(
         span.record("rings", r.rings.len());
         span.record("clusters", model.transition().num_clusters());
         span.record("peak_nodes", r.peak_nodes);
-        // Parallel-engine fields only when the parallel path ran, keeping
-        // serial (`bdd_threads: 1`) traces byte-identical.
-        if let Some(p) = &par {
-            let ps = p.stats();
-            span.record("par.threads", p.threads());
-            span.record("par.shard_locks", ps.shard_locks);
-            span.record("par.shard_contended", ps.shard_contended);
-            span.record("par.shard_peak_occupancy", ps.shard_peak_occupancy);
-            // The small-frontier fallback decision, per image: how many
-            // images ran on the worker pool vs. fell back to the serial
-            // path because the frontier was below the cost threshold.
-            span.record("par.parallel_images", p.parallel_images());
-            span.record("par.fallback_images", p.fallback_images());
-        }
         // Sift bookkeeping and warm-start provenance appear only when the
         // feature actually ran, keeping legacy traces byte-identical.
         if r.stats.sift_runs > 0 {
@@ -438,7 +391,6 @@ fn reach_loop(
     targets: Bdd,
     options: &ReachOptions,
     protect_log: &mut Vec<Bdd>,
-    par: &mut Option<crate::ParImage>,
     saved_rings: &[Bdd],
 ) -> Result<ReachResult, McError> {
     let deadline = options.common.budget.deadline_for(GovPhase::Reach);
@@ -589,23 +541,17 @@ fn reach_loop(
         };
         // `img` is held across the `not`, where it is not an operand, so it
         // needs transient protection from the collector.
-        let step_result = {
-            let img = match par.as_mut() {
-                Some(p) => p.post_image(model, src),
-                None => model.post_image(src),
-            };
-            match img {
-                Ok(img) => {
-                    model.manager().protect(img);
-                    let new = model
-                        .manager()
-                        .not(reached)
-                        .and_then(|nr| model.manager().and(img, nr));
-                    model.manager().unprotect(img);
-                    new
-                }
-                Err(e) => Err(e),
+        let step_result = match model.post_image(src) {
+            Ok(img) => {
+                model.manager().protect(img);
+                let new = model
+                    .manager()
+                    .not(reached)
+                    .and_then(|nr| model.manager().and(img, nr));
+                model.manager().unprotect(img);
+                new
             }
+            Err(e) => Err(e),
         };
         let new = match step_result {
             Ok(new) => new,
@@ -688,12 +634,6 @@ fn reach_loop(
             roots.push(targets);
             roots.push(frontier);
             model.manager().sift_with_roots(&roots, options.max_growth);
-            // The shared manager's variable order no longer matches: drop it
-            // and every exported handle. The next image rebuilds both under
-            // the new order.
-            if let Some(p) = par.as_mut() {
-                p.invalidate();
-            }
             dvo.record_sift(before, model.manager_ref().num_nodes());
         }
     }

@@ -14,6 +14,12 @@
 //!   property asserts the formula is never satisfied, so CNF inputs flow
 //!   through the same engine portfolio as sequential designs: `Proved`
 //!   means UNSAT, `Falsified` (at depth 0) means SAT.
+//!
+//! Both build variables only for the DIMACS variables some clause mentions,
+//! so memory follows the file's size, never the header's declared count: a
+//! variable no clause mentions cannot change satisfiability.
+
+use std::collections::BTreeMap;
 
 use rfn_netlist::{GateOp, Netlist, ParseError, Property, SignalId};
 
@@ -151,12 +157,25 @@ pub fn parse_dimacs(text: &str) -> Result<Dimacs, ParseError> {
 }
 
 impl Dimacs {
+    /// The 0-based indices of the variables some clause mentions, ascending.
+    fn mentioned_vars(&self) -> Vec<usize> {
+        let mut vars: Vec<usize> = self.clauses.iter().flatten().map(|&(v, _)| v).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        vars
+    }
+
     /// Loads the formula into a [`Solver`], returning the solver variable
-    /// for each DIMACS variable (index 0 is DIMACS variable 1).
-    pub fn load_into(&self, solver: &mut Solver) -> Vec<Var> {
-        let vars: Vec<Var> = (0..self.num_vars).map(|_| solver.new_var()).collect();
+    /// of each mentioned DIMACS variable, keyed by its 0-based index
+    /// (key 0 is DIMACS variable 1).
+    pub fn load_into(&self, solver: &mut Solver) -> BTreeMap<usize, Var> {
+        let vars: BTreeMap<usize, Var> = self
+            .mentioned_vars()
+            .into_iter()
+            .map(|v| (v, solver.new_var()))
+            .collect();
         for clause in &self.clauses {
-            let lits: Vec<Lit> = clause.iter().map(|&(v, neg)| vars[v].lit(!neg)).collect();
+            let lits: Vec<Lit> = clause.iter().map(|&(v, neg)| vars[&v].lit(!neg)).collect();
             solver.add_clause(lits);
         }
         vars
@@ -165,15 +184,17 @@ impl Dimacs {
     /// Builds a combinational netlist encoding the formula, plus the safety
     /// property "the formula is never satisfied".
     ///
-    /// Each DIMACS variable becomes a primary input `x1..xN`, each clause an
-    /// OR gate, and the conjunction drives an output named `sat`. The
+    /// Each mentioned DIMACS variable `k` becomes a primary input `xk` (in
+    /// ascending order), each clause an OR gate, and the conjunction drives an output named `sat`. The
     /// returned property is `Proved` exactly when the formula is UNSAT and
     /// `Falsified` at depth 0 when it is SAT, so CNF problems run through
     /// the same portfolio as sequential designs.
     pub fn to_netlist(&self, name: &str) -> (Netlist, Property) {
         let mut n = Netlist::new(name);
-        let inputs: Vec<SignalId> = (1..=self.num_vars)
-            .map(|k| n.add_input(&format!("x{k}")))
+        let vars = self.mentioned_vars();
+        let inputs: Vec<SignalId> = vars
+            .iter()
+            .map(|&v| n.add_input(&format!("x{}", v + 1)))
             .collect();
         let mut clause_sigs = Vec::with_capacity(self.clauses.len());
         for (k, clause) in self.clauses.iter().enumerate() {
@@ -184,10 +205,11 @@ impl Dimacs {
             let lits: Vec<SignalId> = clause
                 .iter()
                 .map(|&(v, neg)| {
+                    let input = inputs[vars.binary_search(&v).expect("mentioned")];
                     if neg {
-                        n.add_gate("", GateOp::Not, &[inputs[v]])
+                        n.add_gate("", GateOp::Not, &[input])
                     } else {
-                        inputs[v]
+                        input
                     }
                 })
                 .collect();
@@ -216,7 +238,7 @@ mod tests {
         let mut s = Solver::new();
         let vars = d.load_into(&mut s);
         assert_eq!(s.solve(&[]), SolveResult::Sat);
-        assert_eq!(s.value(vars[1]), Some(true));
+        assert_eq!(s.value(vars[&1]), Some(true));
     }
 
     #[test]
@@ -257,6 +279,19 @@ mod tests {
     fn rejects_clause_count_mismatch() {
         let e = parse_dimacs("p cnf 1 2\n1 0\n").unwrap_err();
         assert!(e.message.contains("declares 2 clauses"), "{e}");
+    }
+
+    #[test]
+    fn unmentioned_variables_are_not_built() {
+        let d = parse_dimacs("p cnf 2000000000 2\n2000000000 0\n-7 0\n").unwrap();
+        assert_eq!(d.num_vars, 2_000_000_000);
+        let mut s = Solver::new();
+        let vars = d.load_into(&mut s);
+        assert_eq!(vars.keys().copied().collect::<Vec<_>>(), [6, 1_999_999_999]);
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        let (n, _) = d.to_netlist("cnf");
+        let names: Vec<&str> = n.inputs().iter().map(|&i| n.signal_name(i)).collect();
+        assert_eq!(names, ["x7", "x2000000000"]);
     }
 
     #[test]

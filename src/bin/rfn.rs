@@ -6,15 +6,15 @@
 //! rfn verify <design> [--watch <signal>[=0|1]] [--watch ...] [--name <p>]
 //!            [--engine <rfn|plain|bmc|race>]
 //!            [--time-limit <s>] [--threads <n>] [--sim-batches <n>]
-//!            [--sim-seed <n>] [--cluster-limit <nodes>] [--bdd-threads <n>]
+//!            [--sim-seed <n>] [--cluster-limit <nodes>]
 //!            [--static-order <seed|force>] [--dvo-schedule <spec>]
 //!            [--order-cache-dir <dir>] [--group-threshold <t>] [--no-group]
 //!            [--checkpoint-dir <dir>] [--resume]
 //!            [--no-frontier-simplify] [--trace-out <file>] [--breakdown] [-v]
 //! rfn coverage <design> --signals <a,b,c> [--bfs <k>] [--time-limit <s>]
 //!              [--sim-batches <n>] [--sim-seed <n>] [--cluster-limit <nodes>]
-//!              [--bdd-threads <n>] [--static-order <seed|force>]
-//!              [--dvo-schedule <spec>] [--no-frontier-simplify]
+//!              [--static-order <seed|force>] [--dvo-schedule <spec>]
+//!              [--no-frontier-simplify]
 //!              [--trace-out <file>] [--breakdown]
 //! ```
 //!
@@ -40,13 +40,6 @@
 //! `--cluster-limit` bounds the node count of each clustered transition
 //! partition used by image computation (0 keeps one partition per register);
 //! `--no-frontier-simplify` disables don't-care frontier minimization.
-//!
-//! `--bdd-threads` fans every image computation across that many worker
-//! threads on a shared BDD manager (1 = the serial engine). Verdicts, error
-//! traces and coverage counts are identical for any thread count; only the
-//! wall-clock changes. This is *intra*-property parallelism and composes
-//! with the `--threads` portfolio: each property job gets its own worker
-//! pool.
 //!
 //! `--static-order` picks the initial BDD variable order: `seed` interleaves
 //! register current/next pairs in declaration order (the default), `force`
@@ -126,15 +119,15 @@ usage:
   rfn verify <design> [--watch <signal>[=0|1]] [--watch ...] [--name <p>]
              [--engine <rfn|plain|bmc|race>]
              [--time-limit <s>] [--threads <n>] [--sim-batches <n>]
-             [--sim-seed <n>] [--cluster-limit <nodes>] [--bdd-threads <n>]
+             [--sim-seed <n>] [--cluster-limit <nodes>]
              [--static-order <seed|force>] [--dvo-schedule <spec>]
              [--order-cache-dir <dir>] [--group-threshold <t>] [--no-group]
              [--checkpoint-dir <dir>] [--resume]
              [--no-frontier-simplify] [--trace-out <file>] [--breakdown] [-v]
   rfn coverage <design> --signals <a,b,c> [--bfs <k>] [--time-limit <s>]
                [--sim-batches <n>] [--sim-seed <n>] [--cluster-limit <nodes>]
-               [--bdd-threads <n>] [--static-order <seed|force>]
-               [--dvo-schedule <spec>] [--no-frontier-simplify]
+               [--static-order <seed|force>] [--dvo-schedule <spec>]
+               [--no-frontier-simplify]
                [--trace-out <file>] [--breakdown]
 
 `<design>` is a design spec: builtin:<name> (fifo, integer_unit, usb,
@@ -150,8 +143,7 @@ lane wins and cancels the rest).
 engine (64 patterns per batch; 0 batches disables it).
 `--cluster-limit` bounds the clustered transition partitions of image
 computation (0 = one partition per register); `--no-frontier-simplify`
-turns off don't-care frontier minimization. `--bdd-threads` parallelizes
-each image computation itself (1 = serial; identical results either way).
+turns off don't-care frontier minimization.
 `--static-order` picks the initial BDD variable order (seed = declaration
 order, force = FORCE topological pre-ordering); `--dvo-schedule` picks the
 reorder trigger (never|doubling|growth[:R]|time[:MS]|backoff[:R]);
@@ -170,23 +162,88 @@ prints a per-phase time table.
 exit codes: 0 all properties proved / analysis done, 1 some property
             falsified, 3 some property inconclusive (falsified wins)";
 
+/// The flags `verify` accepts, each with whether it takes a value.
+const VERIFY_FLAGS: &[(&str, bool)] = &[
+    ("--watch", true),
+    ("--name", true),
+    ("--engine", true),
+    ("--time-limit", true),
+    ("--threads", true),
+    ("--sim-batches", true),
+    ("--sim-seed", true),
+    ("--cluster-limit", true),
+    ("--static-order", true),
+    ("--dvo-schedule", true),
+    ("--order-cache-dir", true),
+    ("--group-threshold", true),
+    ("--no-group", false),
+    ("--checkpoint-dir", true),
+    ("--resume", false),
+    ("--no-frontier-simplify", false),
+    ("--trace-out", true),
+    ("--breakdown", false),
+    ("-v", false),
+];
+
+/// The flags `coverage` accepts, each with whether it takes a value.
+const COVERAGE_FLAGS: &[(&str, bool)] = &[
+    ("--signals", true),
+    ("--bfs", true),
+    ("--time-limit", true),
+    ("--sim-batches", true),
+    ("--sim-seed", true),
+    ("--cluster-limit", true),
+    ("--static-order", true),
+    ("--dvo-schedule", true),
+    ("--no-frontier-simplify", false),
+    ("--trace-out", true),
+    ("--breakdown", false),
+];
+
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or("missing subcommand")?;
+    let accepted = match cmd.as_str() {
+        "info" => &[],
+        "verify" => VERIFY_FLAGS,
+        "coverage" => COVERAGE_FLAGS,
+        other => return Err(format!("unknown subcommand `{other}`")),
+    };
     let spec = it.next().ok_or("missing design spec")?;
+    let rest: Vec<&String> = it.collect();
+    check_args(cmd, &rest, accepted)?;
     let loaded = DesignSource::parse(spec)
         .and_then(|source| source.load())
         .map_err(|e| e.to_string())?;
-    let rest: Vec<&String> = it.collect();
     match cmd.as_str() {
         "info" => {
             info(&loaded);
             Ok(ExitCode::SUCCESS)
         }
         "verify" => verify(&loaded, &rest),
-        "coverage" => coverage(&loaded.design.netlist, &rest),
-        other => Err(format!("unknown subcommand `{other}`")),
+        _ => coverage(&loaded.design.netlist, &rest),
     }
+}
+
+/// Rejects every argument after the design spec that is not an accepted
+/// flag or the value of one, so a mistyped or retired flag is a usage error
+/// instead of a setting silently dropped.
+fn check_args(cmd: &str, rest: &[&String], accepted: &[(&str, bool)]) -> Result<(), String> {
+    let mut args = rest.iter().map(|a| a.as_str());
+    while let Some(arg) = args.next() {
+        match accepted.iter().find(|(name, _)| *name == arg) {
+            Some((_, true)) => {
+                args.next()
+                    .ok_or_else(|| format!("flag `{arg}` needs a value"))?;
+            }
+            Some((_, false)) => {}
+            None if arg.starts_with('-') => {
+                return Err(format!("unknown flag `{arg}` for `{cmd}`"))
+            }
+            None => return Err(format!("unexpected argument `{arg}`")),
+        }
+    }
+    Ok(())
 }
 
 fn info(loaded: &LoadedDesign) {
@@ -272,9 +329,8 @@ fn sim_flags(rest: &[&String]) -> Result<(Option<usize>, Option<u64>), String> {
     Ok((batches, seed))
 }
 
-/// Parses `--cluster-limit` / `--no-frontier-simplify` / `--bdd-threads`
-/// into overrides.
-fn image_flags(rest: &[&String]) -> Result<(Option<usize>, bool, usize), String> {
+/// Parses `--cluster-limit` / `--no-frontier-simplify` into overrides.
+fn image_flags(rest: &[&String]) -> Result<(Option<usize>, bool), String> {
     let cluster_limit = match flag_value(rest, "--cluster-limit") {
         None => None,
         Some(s) => Some(
@@ -283,14 +339,7 @@ fn image_flags(rest: &[&String]) -> Result<(Option<usize>, bool, usize), String>
         ),
     };
     let frontier_simplify = !rest.iter().any(|a| a.as_str() == "--no-frontier-simplify");
-    let bdd_threads = match flag_value(rest, "--bdd-threads") {
-        None => 1,
-        Some(s) => s
-            .parse::<usize>()
-            .map(|n| n.max(1))
-            .map_err(|_| format!("bad --bdd-threads `{s}`"))?,
-    };
-    Ok((cluster_limit, frontier_simplify, bdd_threads))
+    Ok((cluster_limit, frontier_simplify))
 }
 
 /// Parses `--static-order` / `--dvo-schedule` into ordering overrides.
@@ -429,10 +478,8 @@ fn verify(loaded: &LoadedDesign, rest: &[&String]) -> Result<ExitCode, String> {
     // session runs the portfolio in parallel and reports in command-line
     // order, with the event streams merged deterministically.
     let (sim_batches, sim_seed) = sim_flags(rest)?;
-    let (cluster_limit, frontier_simplify, bdd_threads) = image_flags(rest)?;
-    let mut rfn_opts = RfnOptions::default()
-        .with_frontier_simplify(frontier_simplify)
-        .with_bdd_threads(bdd_threads);
+    let (cluster_limit, frontier_simplify) = image_flags(rest)?;
+    let mut rfn_opts = RfnOptions::default().with_frontier_simplify(frontier_simplify);
     if let Some(batches) = sim_batches {
         rfn_opts = rfn_opts.with_sim_batches(batches);
     }
@@ -534,10 +581,8 @@ fn coverage(n: &Netlist, rest: &[&String]) -> Result<ExitCode, String> {
     let set = CoverageSet::new("cli", sigs?);
     let obs = observers(rest)?;
     let (sim_batches, sim_seed) = sim_flags(rest)?;
-    let (cluster_limit, frontier_simplify, bdd_threads) = image_flags(rest)?;
-    let mut cov_opts = CoverageOptions::default()
-        .with_frontier_simplify(frontier_simplify)
-        .with_bdd_threads(bdd_threads);
+    let (cluster_limit, frontier_simplify) = image_flags(rest)?;
+    let mut cov_opts = CoverageOptions::default().with_frontier_simplify(frontier_simplify);
     if let Some(batches) = sim_batches {
         cov_opts.concretize_sim.batches = batches;
     }
@@ -577,9 +622,7 @@ fn coverage(n: &Netlist, rest: &[&String]) -> Result<ExitCode, String> {
     );
     if let Some(k) = flag_value(rest, "--bfs") {
         let k: usize = k.parse().map_err(|_| format!("bad --bfs `{k}`"))?;
-        let mut bfs_reach = ReachOptions::default()
-            .with_frontier_simplify(frontier_simplify)
-            .with_bdd_threads(bdd_threads);
+        let mut bfs_reach = ReachOptions::default().with_frontier_simplify(frontier_simplify);
         if let Some(limit) = cluster_limit {
             bfs_reach = bfs_reach.with_cluster_limit(limit);
         }

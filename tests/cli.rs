@@ -118,6 +118,31 @@ fn bad_usage_exits_two() {
         .output()
         .expect("runs");
     assert_eq!(out.status.code(), Some(2));
+    // A retired flag, a typo, and a flag of the other subcommand are usage
+    // errors naming the flag, never settings silently dropped.
+    for (cmd, flag, value) in [
+        ("verify", "--bdd-threads", "2"),
+        ("verify", "--bdd-thread", "4"),
+        ("verify", "--no-such-flag", "7"),
+        ("coverage", "--threads", "2"),
+    ] {
+        let out = rfn()
+            .args([cmd, "builtin:fifo", flag, value])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("`{flag}`")),
+            "{cmd} {flag}: {stderr}"
+        );
+    }
+    let out = rfn()
+        .args(["verify", "builtin:fifo", "--threads"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("needs a value"));
 }
 
 #[test]

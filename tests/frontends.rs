@@ -257,3 +257,37 @@ fn cli_rejects_malformed_aiger_with_location() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 2"), "{stderr}");
 }
+
+/// A DIMACS header may declare far more variables than its clauses mention.
+/// Loading must cost memory in proportion to the file, not to the header:
+/// under a 4 GB address-space cap, an allocation sized by the declared
+/// count aborts the process instead of verifying the (satisfiable) formula.
+#[cfg(unix)]
+#[test]
+fn cli_verifies_huge_dimacs_header_in_bounded_memory() {
+    for (tag, body) in [
+        ("unused", "p cnf 2000000000 1\n1 0\n"),
+        ("far", "p cnf 2000000000 1\n-2000000000 0\n"),
+    ] {
+        let path = std::env::temp_dir().join(format!(
+            "rfn_frontends_huge_{tag}_{}.cnf",
+            std::process::id()
+        ));
+        std::fs::write(&path, body).unwrap();
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 4000000 && exec \"$0\" verify \"$1\""])
+            .arg(env!("CARGO_BIN_EXE_rfn"))
+            .arg(&path)
+            .output()
+            .expect("spawn sh");
+        std::fs::remove_file(&path).ok();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{tag}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("FALSIFIED"), "{tag}: {stdout}");
+    }
+}
